@@ -19,12 +19,10 @@ The supported import surface is :mod:`repro.api`::
 
 The facade entry points (:func:`~repro.api.run_study`,
 :func:`~repro.api.load_scores`, :func:`~repro.api.compare_devices`) are
-also re-exported here.  The historic top-level names
-(``from repro import InteroperabilityStudy`` etc.) keep working but emit
-:class:`DeprecationWarning`; ``docs/api.md`` has the migration table.
+also re-exported here; every other name lives in :mod:`repro.api` only
+(``docs/api.md`` has the migration table for the retired top-level
+names).
 """
-
-import warnings
 
 from . import api
 from .api import (
@@ -37,63 +35,7 @@ from .api import (
 
 __version__ = "1.1.0"
 
-#: Names that used to be exported eagerly from this module.  They now
-#: resolve through ``__getattr__`` so that touching one emits a
-#: DeprecationWarning pointing at the stable surface, ``repro.api``.
-_LEGACY_NAMES = frozenset(
-    {
-        "InteroperabilityStudy",
-        "ScoreSet",
-        "FnmrPredictor",
-        "TemplateDatabase",
-        "EnrolledRecord",
-        "Verifier",
-        "InteropAwareVerifier",
-        "StudyConfig",
-        "SeedTree",
-        "ScoreCache",
-        "ReproError",
-        "RunManifest",
-        "enable_telemetry",
-        "disable_telemetry",
-        "get_recorder",
-        "configure_logging",
-        "Population",
-        "BioEngineMatcher",
-        "RidgeGeometryMatcher",
-        "Template",
-        "Minutia",
-        "QualityFeatures",
-        "nfiq_level",
-        "Impression",
-        "OpticalSensor",
-        "InkCardSensor",
-        "build_sensor",
-        "DEVICE_ORDER",
-        "DEVICE_PROFILES",
-        "LIVESCAN_DEVICES",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _LEGACY_NAMES:
-        warnings.warn(
-            f"importing {name!r} from 'repro' is deprecated; "
-            f"use 'from repro.api import {name}' instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(api, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | _LEGACY_NAMES)
-
-
 __all__ = [
-    # stable facade
     "api",
     "run_study",
     "load_scores",
@@ -101,35 +43,4 @@ __all__ = [
     "StudyResult",
     "DeviceComparison",
     "__version__",
-    # legacy names (deprecated — import from repro.api instead)
-    "InteroperabilityStudy",
-    "ScoreSet",
-    "FnmrPredictor",
-    "TemplateDatabase",
-    "EnrolledRecord",
-    "Verifier",
-    "InteropAwareVerifier",
-    "StudyConfig",
-    "SeedTree",
-    "ScoreCache",
-    "ReproError",
-    "RunManifest",
-    "enable_telemetry",
-    "disable_telemetry",
-    "get_recorder",
-    "configure_logging",
-    "Population",
-    "BioEngineMatcher",
-    "RidgeGeometryMatcher",
-    "Template",
-    "Minutia",
-    "QualityFeatures",
-    "nfiq_level",
-    "Impression",
-    "OpticalSensor",
-    "InkCardSensor",
-    "build_sensor",
-    "DEVICE_ORDER",
-    "DEVICE_PROFILES",
-    "LIVESCAN_DEVICES",
 ]

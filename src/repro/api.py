@@ -17,9 +17,8 @@ working — they are the implementation, not the contract — but only the
 names exported here are covered by the deprecation policy: anything
 re-exported from ``repro.api`` survives internal refactors.
 
-Legacy top-level imports (``from repro import InteroperabilityStudy``)
-still work but emit :class:`DeprecationWarning`; see ``docs/api.md`` for
-the migration table.
+The old top-level imports (``from repro import InteroperabilityStudy``)
+are gone; see ``docs/api.md`` for the migration table.
 """
 
 from __future__ import annotations

@@ -192,9 +192,10 @@ class PrefilterIndex:
     enroll and delete are both O(1) row operations (amortized: the
     backing array doubles when full).
 
-    ``top_k`` computes all squared Euclidean distances in one numpy
-    pass, selects K via ``argpartition``, and breaks distance ties by
-    key so the candidate order is deterministic.
+    ``top_k`` computes all Euclidean distances in one numpy pass, cuts
+    at the K-th smallest via ``partition``, and orders the survivors by
+    ``(distance, key)`` — ties at the cut included — so the result is
+    deterministic and shard merges are exact.
     """
 
     def __init__(self, dim: int = DESCRIPTOR_DIM) -> None:
@@ -283,7 +284,12 @@ class PrefilterIndex:
         self._keys.pop()
 
     def top_k(self, vector: np.ndarray, k: int) -> List[PrefilterCandidate]:
-        """The K nearest keys by Euclidean distance, nearest first."""
+        """The K nearest keys by Euclidean distance, nearest first.
+
+        The K smallest under ``(distance, key)``: every row tied with
+        the K-th distance is a contender, so which of several equally
+        distant keys survives the cut never depends on row order.
+        """
         if k < 1:
             raise ConfigurationError(f"top_k needs k >= 1, got {k}")
         n = len(self._keys)
@@ -292,15 +298,15 @@ class PrefilterIndex:
         probe = self._check(vector)
         live = self._matrix[:n]
         deltas = live - probe[None, :]
-        sq = np.einsum("ij,ij->i", deltas, deltas)
-        k = min(k, n)
+        distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
         if k < n:
-            chosen = np.argpartition(sq, k - 1)[:k]
+            cut = np.partition(distances, k - 1)[k - 1]
+            chosen = np.flatnonzero(distances <= cut)
         else:
             chosen = np.arange(n)
         order = sorted(
-            (float(np.sqrt(sq[i])), self._keys[i]) for i in chosen
-        )
+            (float(distances[i]), self._keys[i]) for i in chosen
+        )[:k]
         return [
             PrefilterCandidate(key=key, distance=distance, rank=rank)
             for rank, (distance, key) in enumerate(order, start=1)

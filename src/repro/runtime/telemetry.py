@@ -41,7 +41,7 @@ import sys
 import threading
 import time
 import uuid
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 #: Histogram bucket upper bounds — a log-ish scale in seconds that
@@ -474,6 +474,12 @@ def current_trace() -> Optional[TraceContext]:
     return _TRACE.get()
 
 
+def trace_phase(name: str):
+    """Time ``name`` on the current request's trace (no-op untraced)."""
+    trace = _TRACE.get()
+    return trace.phase(name) if trace is not None else nullcontext()
+
+
 def set_current_trace(
     trace: Optional[TraceContext],
 ) -> "contextvars.Token":
@@ -574,6 +580,7 @@ __all__ = [
     "new_request_id",
     "sanitize_request_id",
     "current_trace",
+    "trace_phase",
     "set_current_trace",
     "reset_current_trace",
     "trace_request",

@@ -13,8 +13,11 @@ from a different device:
   concurrent comparisons into batched matcher dispatches;
 * :mod:`repro.service.server` — stdlib-asyncio HTTP server speaking
   the versioned ``/v1`` API (``/v1/enroll``, ``/v1/verify``,
-  ``/v1/identify``, ``/v1/healthz``, ``/v1/stats``; legacy unversioned
-  paths answer with a ``Deprecation`` header);
+  ``/v1/identify``, ``/v1/healthz``, ``/v1/stats``), each search run
+  once against the live shard set;
+* :mod:`repro.service.search` — the candidate-key convention, the
+  ``(-score, key)`` ranking and the per-device prefilter merge that
+  every search path shares;
 * :mod:`repro.service.client` — blocking client for tests, smoke
   checks, and the load benchmark;
 * :mod:`repro.service.stats` — live request/latency/batch-size
@@ -23,11 +26,11 @@ from a different device:
   ``GET /metrics`` plus a strict parser for validating scrapes;
 * :mod:`repro.service.reqlog` — JSONL per-request audit log with
   size-based rotation;
-* :mod:`repro.service.workers` — horizontally sharded serving: a
-  supervised pool of matcher processes, each owning a BLAKE2b
-  identity-hash slice of the gallery (``REPRO_SERVE_WORKERS`` /
-  ``--workers``), with cross-shard top-K merges bit-identical to the
-  single-process path;
+* :mod:`repro.service.workers` — the shard sets: the in-process
+  ``LocalShards`` and a supervised pool of matcher processes, each
+  owning a BLAKE2b identity-hash slice of the gallery
+  (``REPRO_SERVE_WORKERS`` / ``--workers``), with cross-shard top-K
+  merges bit-identical to the in-process set;
 * :mod:`repro.service.auth` — keyed access control: API-key principals
   from a hot-reloading keyfile (``--keys`` / ``REPRO_SERVE_KEYS``),
   constant-time lookup, per-endpoint roles (401/403 in the ``/v1``

@@ -7,9 +7,8 @@ async stack.  Templates are serialized to base64 ANSI/INCITS 378 on the
 way out, mirroring :func:`repro.service.server.decode_template_field`
 on the way in.
 
-The client speaks the versioned ``/v1`` API by default; pass
-``api_base=""`` to exercise the deprecated unversioned paths (the
-deprecation tests do).  Error responses come back as
+The client speaks the versioned ``/v1`` API (the only one the server
+routes).  Error responses come back as
 :class:`ServiceClientError` carrying the HTTP status and the server's
 error envelope — ``code``/``message``/``request_id`` are exposed as
 properties — so callers can assert on exact status codes (the smoke
@@ -46,6 +45,9 @@ from ..runtime.telemetry import new_request_id
 #: HTTP statuses that correspond to transient (retry-worthy) failures:
 #: overload (503), deadline (504), and rate limiting (429).
 RETRYABLE_STATUSES = frozenset({429, 503, 504})
+
+#: Path prefix of every endpoint.
+API_BASE = "/v1"
 
 
 class ServiceClientError(ReproError):
@@ -115,9 +117,9 @@ class ServiceClient:
     is therefore *not* thread-safe — the load generator gives each
     worker thread its own.
 
-    ``follower`` names an optional read replica (a ``--follow`` server
-    tailing the primary's WAL); ``followers`` generalizes it to a fleet:
-    :meth:`verify` and :meth:`identify` round-robin across the replicas,
+    ``followers`` names read replicas (``--follow`` servers tailing the
+    primary's WAL): :meth:`verify` and :meth:`identify` round-robin
+    across them,
     skipping past any that are unreachable and falling back to the
     primary when none answer, while writes (:meth:`enroll`,
     :meth:`delete`) always target the primary — a replica would refuse
@@ -136,8 +138,6 @@ class ServiceClient:
         host: str,
         port: int,
         timeout_s: float = 30.0,
-        api_base: str = "/v1",
-        follower: Optional[Tuple[str, int]] = None,
         followers: Optional[Sequence[Tuple[str, int]]] = None,
         api_key: Optional[str] = None,
         retry_rate_limited: int = 0,
@@ -145,22 +145,14 @@ class ServiceClient:
         self._host = host
         self._port = port
         self._timeout_s = timeout_s
-        #: Path prefix for every endpoint; "" targets the deprecated
-        #: unversioned surface.
-        self.api_base = api_base.rstrip("/")
         self.api_key = api_key
         self.retry_rate_limited = max(0, int(retry_rate_limited))
-        replicas: List[Tuple[str, int]] = []
-        if follower is not None:
-            replicas.append(follower)
-        if followers is not None:
-            replicas.extend(followers)
         self._followers: List["ServiceClient"] = [
             ServiceClient(
                 replica_host, int(replica_port),
-                timeout_s=timeout_s, api_base=api_base, api_key=api_key,
+                timeout_s=timeout_s, api_key=api_key,
             )
-            for replica_host, replica_port in replicas
+            for replica_host, replica_port in followers or ()
         ]
         self._follower_rr = 0
         self._connection: Optional[http.client.HTTPConnection] = None
@@ -241,14 +233,10 @@ class ServiceClient:
                 raise ServiceClientError(status, data)
             return data
 
-    def _path(self, endpoint: str) -> str:
-        """An endpoint path under the client's API base."""
-        return f"{self.api_base}{endpoint}"
-
-    @property
-    def follower(self) -> Optional["ServiceClient"]:
-        """The first read-replica client, when any was configured."""
-        return self._followers[0] if self._followers else None
+    @staticmethod
+    def _path(endpoint: str) -> str:
+        """An endpoint path under the API base."""
+        return f"{API_BASE}{endpoint}"
 
     @property
     def followers(self) -> Tuple["ServiceClient", ...]:

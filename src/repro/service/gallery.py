@@ -61,7 +61,6 @@ from ..core.prefilter import (
     PrefilterCandidate,
     PrefilterIndex,
     descriptor_vector,
-    merge_shard_candidates,
 )
 from ..matcher.types import Template, template_from_arrays
 from ..quality.nfiq import assess_template
@@ -74,6 +73,7 @@ from ..runtime.wal import (
     decode_array,
     encode_array,
 )
+from .search import candidate_key, prefilter_by_device
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
@@ -780,21 +780,13 @@ class GalleryIndex:
         )
 
     def candidates(self, device: Optional[str] = None) -> Dict[str, Template]:
-        """The 1:N search space as ``{identity: template}``.
-
-        With a device, keys are bare identities within that shard; across
-        all devices the same identity may be enrolled several times, so
-        keys become ``device/identity`` to keep candidates distinct.
-        """
-        if device is not None:
-            return {
-                identity: record.template
-                for (dev, identity), record in sorted(self._records.items())
-                if dev == device
-            }
+        """The 1:N search space as ``{key: template}``, keys built by
+        :func:`~repro.service.search.candidate_key` (bare identities
+        within one device, ``device/identity`` across devices)."""
         return {
-            f"{dev}/{identity}": record.template
+            candidate_key(dev, identity, device): record.template
             for (dev, identity), record in sorted(self._records.items())
+            if device is None or dev == device
         }
 
     def prefilter(
@@ -805,30 +797,26 @@ class GalleryIndex:
     ) -> List[PrefilterCandidate]:
         """Coarse-stage top-K: the descriptor-nearest enrolled candidates.
 
-        Keys match :meth:`candidates` — bare identities within one
-        device shard, ``device/identity`` across shards (each shard's
-        local top-K is merged into an exact global top-K, so sharding
-        never changes the answer).  Returns at most ``k`` candidates,
-        nearest first; an empty gallery returns an empty list.
+        Keys match :meth:`candidates`; across devices each shard's local
+        top-K is merged into an exact global top-K, so sharding never
+        changes the answer.  Returns at most ``k`` candidates, nearest
+        first; an empty gallery returns an empty list.
         """
         if k < 1:
             raise ConfigurationError(f"prefilter needs k >= 1, got {k}")
-        vector = descriptor_vector(probe)
         if device is not None:
             _check_name(device, "device")
-            if device not in self._indexes:
-                return []
-            return self._indexes[device].top_k(vector, k)
-        shards = []
-        for dev in self.devices():
-            local = self._indexes[dev].top_k(vector, k)
-            shards.append([
-                PrefilterCandidate(
-                    key=f"{dev}/{c.key}", distance=c.distance, rank=c.rank
-                )
-                for c in local
-            ])
-        return merge_shard_candidates(shards, k)
+        return self.prefilter_vector(descriptor_vector(probe), device, k)[1]
+
+    def prefilter_vector(
+        self, vector: np.ndarray, device: Optional[str], k: int
+    ) -> Tuple[int, List[PrefilterCandidate]]:
+        """``(scope_size, top-k)`` for an already-built probe descriptor.
+
+        ``scope_size`` is the number of enrollments in the searched
+        scope, read off the descriptor indexes in O(devices).
+        """
+        return prefilter_by_device(self._indexes, vector, device, k)
 
     def records(self) -> Dict[Tuple[str, str], GalleryRecord]:
         """A shallow copy of every record, keyed ``(device, identity)``.

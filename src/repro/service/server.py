@@ -17,10 +17,9 @@ GET       ``/v1/metrics``                    Prometheus text exposition of the s
 POST      ``/v1/admin/keys/reload``          force a keyfile reload (auth mode only)
 ========  =================================  ====================================
 
-The legacy unversioned paths (``/verify``, ...) still answer — with
-identical semantics — but carry a ``Deprecation: true`` header (RFC
-8594 style) so clients notice before the paths disappear.  Every error
-response, on every endpoint and status code, is one envelope shape::
+Only ``/v1`` paths route; any other path (the retired unversioned
+``/verify`` included) is a 404.  Every error response, on every
+endpoint and status code, is one envelope shape::
 
     {"error": {"code": "unknown_identity", "message": "...",
                "request_id": "...", "kind": "UnknownIdentityError"}}
@@ -43,11 +42,13 @@ a :class:`~repro.runtime.telemetry.TraceContext` for the request task,
 and echoes the id on **every** response — success, error, even a
 malformed request line — so client and server logs join on one key.
 The trace records a phase timeline (``[auth → limits →] parse →
-gallery → [prefilter →] queue_wait → batch_wait → match → respond``;
+[prefilter →] gallery → queue_wait → batch_wait → match → respond``;
 the ``auth``/``limits`` phases appear when keyed access is enabled and
 run *before* the body is decoded, the ``prefilter`` phase appears on
-two-stage identify requests, and sharded serving adds a
-``worker_dispatch`` phase covering the scatter/gather round trip);
+two-stage identify requests, ahead of the ``gallery`` lookup of its
+shortlist, and pool-served requests carry a ``worker_dispatch`` phase
+covering the scatter/gather round trip instead of ``gallery`` and the
+batch phases);
 finished requests are appended to an
 optional JSONL :class:`~repro.service.reqlog.RequestLog` (each line
 carries the authenticated ``principal``), and requests
@@ -67,9 +68,18 @@ the server stays open, bit-identical to the pre-auth stack.
 Templates travel as base64-encoded ANSI/INCITS 378 records — the same
 interchange format the paper's interoperability scenario is about — so
 any client that can produce a standard minutiae record can talk to the
-server.  Match work is delegated to the
+server.
+
+There is one search path.  ``/verify`` and ``/identify`` each run one
+routine against the live *shard set*: the
+:class:`~repro.service.workers.WorkerPool` when ``workers >= 2`` and
+healthy, else :class:`~repro.service.workers.LocalShards` — the
+gallery plus this server's
 :class:`~repro.service.batching.MicroBatcher`, which coalesces the
 comparisons of concurrent requests into batched matcher dispatches.
+Both sets answer ``prefilter``/``score_keyed``/``rank``; when the pool
+degrades mid-request, the same routine re-runs against the in-process
+set.  Enroll/delete fan-out rides the same swap.
 
 Failures map the study's error taxonomy onto HTTP status codes:
 
@@ -95,7 +105,7 @@ import binascii
 import json
 import os
 import time
-from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -120,6 +130,7 @@ from ..runtime.telemetry import (
     reset_current_trace,
     sanitize_request_id,
     set_current_trace,
+    trace_phase,
 )
 from .auth import (
     ANONYMOUS,
@@ -146,8 +157,14 @@ from .gallery import (
 )
 from .metrics import EXPOSITION_CONTENT_TYPE, render_exposition
 from .reqlog import RequestLog, slow_threshold_ms
+from .search import rank_top, split_candidate_key
 from .stats import ServiceStats
-from .workers import WorkerPool, WorkerPoolConfig, WorkerPoolDegradedError
+from .workers import (
+    LocalShards,
+    WorkerPool,
+    WorkerPoolConfig,
+    WorkerPoolDegradedError,
+)
 
 #: Operating threshold on the matcher's 0–30 score scale.  The paper's
 #: figures put the impostor band at 0–7 and genuine scores at 7–24, so
@@ -163,12 +180,6 @@ MAX_BODY_BYTES = 1 << 20
 DEFAULT_WAL_POLL_MS = 200.0
 
 _log = get_logger("service.server")
-
-
-def _phase(name: str):
-    """Context manager timing `name` on the current trace (no-op untraced)."""
-    trace = current_trace()
-    return trace.phase(name) if trace is not None else nullcontext()
 
 
 class ServerStartupError(TransientError):
@@ -299,8 +310,10 @@ def decode_template_field(payload: dict, field: str = "template") -> Template:
 class VerificationServer:
     """The online serving layer bundled into one object.
 
-    Owns a :class:`~repro.service.gallery.GalleryIndex`, a matcher, and a
-    :class:`~repro.service.batching.MicroBatcher`; speaks HTTP/1.1 with
+    Owns a :class:`~repro.service.gallery.GalleryIndex`, a matcher, a
+    :class:`~repro.service.batching.MicroBatcher` (together the
+    in-process shard set) and, with ``workers >= 2``, a
+    :class:`~repro.service.workers.WorkerPool`; speaks HTTP/1.1 with
     keep-alive on an asyncio event loop.  ``port=0`` binds an ephemeral
     port (read it back from :attr:`address` — tests do).
     """
@@ -353,6 +366,7 @@ class VerificationServer:
             stats=self.stats,
             config=batching if batching is not None else BatchingConfig.from_environment(),
         )
+        self._local = LocalShards(gallery, self.batcher)
         if tracing is None:
             flag = env_int("REPRO_SERVE_TRACING")
             tracing = True if flag is None else bool(flag)
@@ -398,22 +412,13 @@ class VerificationServer:
             DEFAULT_WAL_POLL_MS if poll_ms is None else max(1.0, poll_ms)
         ) / 1000.0
         # Sharded serving: the pool spins up in start() (it needs the
-        # running loop); workers <= 1 keeps the single-process path —
+        # running loop); workers <= 1 serves from LocalShards alone —
         # the bit-identical control arm of the worker sweep.
         pool_config = WorkerPoolConfig.from_environment()
         if workers is not None:
-            pool_config = WorkerPoolConfig(
-                workers=int(workers),
-                rpc_timeout_s=pool_config.rpc_timeout_s,
-                respawn_budget=pool_config.respawn_budget,
-            )
+            pool_config = replace(pool_config, workers=int(workers))
         self._pool_config = pool_config
         self._matcher_factory = matcher_factory
-        self._pool_batching = (
-            batching
-            if batching is not None
-            else BatchingConfig.from_environment()
-        )
         self.pool: Optional[WorkerPool] = None
 
     # ------------------------------------------------------------------
@@ -429,8 +434,8 @@ class VerificationServer:
 
         Serialized by a lock: the poll loop and an eager ``/healthz``
         drain must never interleave, or records could apply out of
-        order.  Applied ops are forwarded to the worker pool's delta
-        log so sharded reads see them too.
+        order.  Applied ops fan out to the live shard set, so sharded
+        reads see them too.
         """
         if self._follower is None:
             return
@@ -441,17 +446,15 @@ class VerificationServer:
                 if applied is None:
                     continue
                 op, device, identity, record = applied
-                if self._live_pool is not None:
-                    if op == "enroll":
-                        await self.pool.apply_enroll(
-                            device, identity,
-                            record.template, record.descriptor,
-                            lsn=rec.lsn,
-                        )
-                    else:
-                        await self.pool.apply_delete(
-                            device, identity, lsn=rec.lsn
-                        )
+                if op == "enroll":
+                    await self._on_shards(lambda shards: shards.apply_enroll(
+                        device, identity, record.template, record.descriptor,
+                        lsn=rec.lsn,
+                    ))
+                else:
+                    await self._on_shards(lambda shards: shards.apply_delete(
+                        device, identity, lsn=rec.lsn
+                    ))
 
     async def _follow_loop(self) -> None:
         """Poll the primary's WAL until cancelled.
@@ -564,7 +567,7 @@ class VerificationServer:
                 factory,
                 stats=self.stats,
                 config=self._pool_config,
-                batching=self._pool_batching,
+                batching=self.batcher.config,
             )
             await self.pool.start()
         if self._follow_dir is not None and self._follow_task is None:
@@ -730,11 +733,8 @@ class VerificationServer:
         body: bytes,
     ) -> bool:
         started = time.perf_counter()
-        base_path, versioned = self._normalize_path(path)
+        base_path = self._normalize_path(path)
         endpoint = self._endpoint_for(method, base_path)
-        # Legacy unversioned paths still answer but are marked: clients
-        # get an RFC 8594-style Deprecation header until they move to /v1.
-        deprecated = not versioned and endpoint != "unknown"
         request_id = (
             sanitize_request_id(headers.get("x-request-id")) or new_request_id()
         )
@@ -751,6 +751,12 @@ class VerificationServer:
                 principal_name = principal.name
                 if trace is not None:
                     trace.meta["principal"] = principal_name
+                if not base_path:
+                    raise _HttpError(
+                        404,
+                        f"no route for {method} {path.split('?', 1)[0]}; "
+                        "the API lives under /v1",
+                    )
                 status, payload = await self._route(method, base_path, body)
             except _HttpError as exc:
                 status = exc.status
@@ -786,14 +792,12 @@ class VerificationServer:
                 with trace.phase("respond"):
                     keep_alive = await self._respond(
                         writer, status, payload,
-                        request_id=request_id, deprecated=deprecated,
-                        retry_after=retry_after,
+                        request_id=request_id, retry_after=retry_after,
                     )
             else:
                 keep_alive = await self._respond(
                     writer, status, payload,
-                    request_id=request_id, deprecated=deprecated,
-                    retry_after=retry_after,
+                    request_id=request_id, retry_after=retry_after,
                 )
         finally:
             if token is not None:
@@ -820,7 +824,7 @@ class VerificationServer:
         role = ENDPOINT_ROLES.get(endpoint, "admin")
         if self.auth is not None and role is not None:
             try:
-                with _phase("auth"):
+                with trace_phase("auth"):
                     principal = self.auth.authenticate(headers)
                     self.auth.authorize(principal, endpoint)
             except AuthenticationError:
@@ -833,7 +837,7 @@ class VerificationServer:
             self.stats.record_auth("ok")
         if self.limits is not None and endpoint != "healthz":
             try:
-                with _phase("limits"):
+                with trace_phase("limits"):
                     self.limits.check(principal.name, endpoint)
             except RateLimitExceeded as exc:
                 self.stats.record_rate_limited(principal.name)
@@ -901,7 +905,6 @@ class VerificationServer:
         status: int,
         payload,
         request_id: Optional[str] = None,
-        deprecated: bool = False,
         retry_after: Optional[float] = None,
     ) -> bool:
         if isinstance(payload, str):
@@ -914,8 +917,6 @@ class VerificationServer:
         extra = ""
         if request_id is not None:
             extra += f"X-Request-ID: {request_id}\r\n"
-        if deprecated:
-            extra += "Deprecation: true\r\n"
         if status == 401:
             extra += "WWW-Authenticate: Bearer\r\n"
         if status == 429 and retry_after is not None:
@@ -944,20 +945,15 @@ class VerificationServer:
     # Routing and endpoint handlers
     # ------------------------------------------------------------------
     @staticmethod
-    def _normalize_path(path: str) -> Tuple[str, bool]:
+    def _normalize_path(path: str) -> str:
         """Strip the query string and the ``/v1`` version prefix.
 
-        Returns ``(base_path, versioned)``; the router only ever sees
-        base paths, so ``/v1/verify`` and legacy ``/verify`` share one
-        handler (and one stats bucket) — the version only decides
-        whether the response carries a ``Deprecation`` header.
+        The router only ever sees base paths (``/v1/verify`` →
+        ``/verify``); a path outside ``/v1`` maps to ``""``, which no
+        route matches, so it answers 404.
         """
         path = path.split("?", 1)[0]
-        if path == "/v1":
-            return "/", True
-        if path.startswith("/v1/"):
-            return path[len("/v1"):], True
-        return path, False
+        return path[len("/v1"):] if path.startswith("/v1/") else ""
 
     @staticmethod
     def _endpoint_for(method: str, path: str) -> str:
@@ -1005,10 +1001,11 @@ class VerificationServer:
             trace = current_trace()
             if trace is not None:
                 trace.meta["device"] = device
-            with _phase("gallery"):
+            with trace_phase("gallery"):
                 lsn = self.gallery.delete(identity, device=device)
-            if self._live_pool is not None:
-                await self.pool.apply_delete(device, identity, lsn=lsn)
+            await self._on_shards(
+                lambda shards: shards.apply_delete(device, identity, lsn=lsn)
+            )
             return 200, {"deleted": identity, "device": device}
         if path == "/admin/keys/reload" and method == "POST":
             return 200, self._handle_keys_reload()
@@ -1032,13 +1029,20 @@ class VerificationServer:
             raise _HttpError(400, "request body must be a JSON object")
         return payload
 
-    @property
-    def _live_pool(self) -> Optional[WorkerPool]:
-        """The worker pool, when it is running and not degraded."""
+    async def _on_shards(self, call):
+        """Run ``call(shards)`` against the live shard set.
+
+        The worker pool serves while it is running and healthy; when it
+        is absent, or degrades during the call, the same call runs
+        against the in-process set.
+        """
         pool = self.pool
         if pool is not None and not pool.degraded:
-            return pool
-        return None
+            try:
+                return await call(pool)
+            except WorkerPoolDegradedError:
+                pass
+        return await call(self._local)
 
     def _reject_write(self, operation: str) -> None:
         """Follower replicas answer reads only; writes go to the primary."""
@@ -1145,22 +1149,21 @@ class VerificationServer:
         trace = current_trace()
         if trace is not None:
             trace.meta["device"] = device
-        with _phase("parse"):
+        with trace_phase("parse"):
             template = decode_template_field(payload)
         try:
-            with _phase("gallery"):
+            with trace_phase("gallery"):
                 record = self.gallery.enroll(identity, template, device=device)
         except EnrollmentRejected as exc:
             self.stats.record_enroll_rejected()
             raise exc
-        if self._live_pool is not None:
-            # The response only returns after the owning worker acked,
-            # so a follow-up verify against this identity cannot race a
-            # not-yet-delivered delta.
-            await self.pool.apply_enroll(
-                device, identity, record.template, record.descriptor,
-                lsn=record.lsn,
-            )
+        # The response only returns after the owning shard acked, so a
+        # follow-up verify against this identity cannot race a
+        # not-yet-delivered delta.
+        await self._on_shards(lambda shards: shards.apply_enroll(
+            device, identity, record.template, record.descriptor,
+            lsn=record.lsn,
+        ))
         return 201, {
             "identity": record.identity,
             "device": record.device,
@@ -1175,25 +1178,13 @@ class VerificationServer:
         trace = current_trace()
         if trace is not None:
             trace.meta["device"] = device
-        with _phase("parse"):
+        with trace_phase("parse"):
             probe = decode_template_field(payload)
         threshold = self._threshold(payload)
-        with _phase("gallery"):
-            record = self.gallery.get(identity, device=device)
-        scores = None
-        if self._live_pool is not None:
-            try:
-                with _phase("worker_dispatch"):
-                    scores = await self.pool.score_keyed(
-                        probe, device, [identity],
-                        timeout_s=self._timeout(payload),
-                    )
-            except WorkerPoolDegradedError:
-                scores = None
-        if scores is None:
-            scores = await self.batcher.score(
-                [(probe, record.template)], timeout_s=self._timeout(payload)
-            )
+        timeout_s = self._timeout(payload)
+        scores = await self._on_shards(lambda shards: shards.score_keyed(
+            probe, device, [identity], timeout_s=timeout_s
+        ))
         score = float(scores[0])
         accepted = score >= threshold
         self.stats.record_decision(accepted)
@@ -1206,7 +1197,7 @@ class VerificationServer:
         }
 
     async def _handle_identify(self, payload: dict) -> Tuple[int, dict]:
-        with _phase("parse"):
+        with trace_phase("parse"):
             probe = decode_template_field(payload)
         device = payload.get("device")
         if device is not None:
@@ -1234,28 +1225,33 @@ class VerificationServer:
                 400, "candidate_k must be a positive integer",
                 code="invalid_request",
             )
-        result = None
-        if self._live_pool is not None:
-            try:
-                result = await self._identify_sharded(
-                    probe, device, mode, candidate_k, max_candidates,
-                    self._timeout(payload),
-                )
-            except WorkerPoolDegradedError:
-                result = None
-        if result is None:
-            result = await self._identify_local(
-                probe, device, mode, candidate_k, max_candidates,
-                self._timeout(payload),
-            )
-        gallery_size, scored, ranked, prefilter_seconds, prefilter_ranks = result
+        timeout_s = self._timeout(payload)
+        gallery_size, scored, ranked, prefilter_seconds, prefilter_ranks = (
+            await self._on_shards(lambda shards: self._search(
+                shards, probe, device, mode, candidate_k, max_candidates,
+                timeout_s,
+            ))
+        )
         self.stats.record_identify(
             mode,
             candidates_scored=scored,
             prefilter_seconds=prefilter_seconds,
         )
         stage = "rescored" if mode == "two_stage" else "exhaustive"
-        best = ranked[0] if ranked else None
+        candidates = []
+        for key, score in ranked:
+            dev, identity = split_candidate_key(key, device)
+            candidates.append({
+                "identity": identity,
+                "device": dev,
+                "score": round(score, 4),
+                "prefilter_rank": prefilter_ranks.get(key),
+                "stage": stage,
+            })
+        best = None
+        if candidates:
+            best = {f: candidates[0][f] for f in ("identity", "device", "score")}
+            best["decision"] = "accept" if ranked[0][1] >= threshold else "reject"
         return 200, {
             "device": device,
             "threshold": threshold,
@@ -1266,107 +1262,43 @@ class VerificationServer:
                 "candidate_k": candidate_k if mode == "two_stage" else None,
                 "prefilter_seconds": round(prefilter_seconds, 6),
             },
-            "candidates": [
-                {
-                    "identity": key.split("/", 1)[1] if device is None and "/" in key else key,
-                    "device": (
-                        key.split("/", 1)[0] if device is None and "/" in key
-                        else device
-                    ),
-                    "score": round(score, 4),
-                    "prefilter_rank": prefilter_ranks.get(key),
-                    "stage": stage,
-                }
-                for key, score in ranked
-            ],
-            "best": (
-                {
-                    "identity": best[0],
-                    "score": round(best[1], 4),
-                    "decision": "accept" if best[1] >= threshold else "reject",
-                }
-                if best is not None
-                else None
-            ),
+            "candidates": candidates,
+            "best": best,
         }
 
-    async def _identify_local(
-        self, probe, device, mode, candidate_k, max_candidates, timeout_s
+    @staticmethod
+    async def _search(
+        shards, probe, device, mode, candidate_k, max_candidates, timeout_s
     ):
-        """The single-process 1:N search — unchanged pre-pool behavior.
+        """The one 1:N search, against either shard set.
 
-        Also the live fallback when the worker pool has degraded, which
-        is why it stays a complete, self-contained path.
+        Exact mode ranks the whole scope inside the shard set; two-stage
+        takes the set's descriptor top-``candidate_k``, rescores that
+        shortlist and ranks it with the same ``(-score, key)`` order.
+        Returns ``(gallery_size, candidates_scored, ranked,
+        prefilter_seconds, prefilter_ranks)``.
         """
-        with _phase("gallery"):
-            candidates = self.gallery.candidates(device=device)
-        gallery_size = len(candidates)
-        prefilter_seconds = 0.0
-        prefilter_ranks: Dict[str, int] = {}
-        if mode == "two_stage" and gallery_size:
-            with _phase("prefilter"):
-                prefilter_started = time.perf_counter()
-                survivors = self.gallery.prefilter(
-                    probe, device=device, k=candidate_k
-                )
-                prefilter_seconds = time.perf_counter() - prefilter_started
-            prefilter_ranks = {c.key: c.rank for c in survivors}
-            shortlist = sorted(prefilter_ranks)
-        else:
-            shortlist = sorted(candidates)
-        scores = await self.batcher.score(
-            [(probe, candidates[identity]) for identity in shortlist],
-            timeout_s=timeout_s,
+        if mode != "two_stage":
+            gallery_size, ranked = await shards.rank(
+                probe, device, max_candidates, timeout_s=timeout_s
+            )
+            return gallery_size, gallery_size, ranked, 0.0, {}
+        with trace_phase("prefilter"):
+            started = time.perf_counter()
+            gallery_size, survivors = await shards.prefilter(
+                descriptor_vector(probe), device, candidate_k
+            )
+            prefilter_seconds = time.perf_counter() - started
+        prefilter_ranks = {c.key: c.rank for c in survivors}
+        shortlist = sorted(prefilter_ranks)
+        scores = await shards.score_keyed(
+            probe, device, shortlist, timeout_s=timeout_s
         )
-        ranked = sorted(
-            zip(shortlist, (float(s) for s in scores)),
-            key=lambda item: (-item[1], item[0]),
-        )[:max_candidates]
         return (
-            gallery_size, len(shortlist), ranked,
+            gallery_size, len(shortlist),
+            rank_top(zip(shortlist, scores), max_candidates),
             prefilter_seconds, prefilter_ranks,
         )
-
-    async def _identify_sharded(
-        self, probe, device, mode, candidate_k, max_candidates, timeout_s
-    ):
-        """Scatter/gather 1:N across the worker pool.
-
-        Both modes reduce with the comparators the local path uses —
-        ``(-score, key)`` for ranking, ``(distance, key)`` in the
-        prefilter merge — so the response is bit-identical to
-        :meth:`_identify_local`, deterministic tie-breaks included.
-        """
-        prefilter_seconds = 0.0
-        prefilter_ranks: Dict[str, int] = {}
-        if mode == "two_stage":
-            vector = descriptor_vector(probe)
-            with _phase("prefilter"):
-                prefilter_started = time.perf_counter()
-                gallery_size, survivors = await self.pool.prefilter(
-                    vector, device, candidate_k
-                )
-                prefilter_seconds = time.perf_counter() - prefilter_started
-            prefilter_ranks = {c.key: c.rank for c in survivors}
-            shortlist = sorted(prefilter_ranks)
-            with _phase("worker_dispatch"):
-                scores = await self.pool.score_keyed(
-                    probe, device, shortlist, timeout_s=timeout_s
-                )
-            ranked = sorted(
-                zip(shortlist, (float(s) for s in scores)),
-                key=lambda item: (-item[1], item[0]),
-            )[:max_candidates]
-            return (
-                gallery_size, len(shortlist), ranked,
-                prefilter_seconds, prefilter_ranks,
-            )
-        with _phase("worker_dispatch"):
-            gallery_size, ranked = await self.pool.rank(
-                probe, device, limit=max_candidates
-            )
-        # Exact mode scores the whole (sharded) gallery.
-        return gallery_size, gallery_size, ranked, 0.0, prefilter_ranks
 
     # ------------------------------------------------------------------
     # Small request helpers

@@ -1,10 +1,13 @@
-"""Horizontally sharded serving: a pool of matcher worker processes.
+"""Shard sets: the in-process gallery and a pool of matcher processes.
 
-The serving layer's single one-thread matcher executor is the paper's
-throughput ceiling in miniature: scoring is embarrassingly parallel
-across gallery candidates, yet every ``/identify`` funnels through one
-core.  :class:`WorkerPool` removes that ceiling with N supervised
-matcher processes, each owning a deterministic slice of the gallery:
+The server runs every search against a *shard set* answering
+``prefilter``, ``score_keyed`` and ``rank`` (plus the ``apply_enroll``
+/ ``apply_delete`` write fan-out).  :class:`LocalShards` — the gallery
+plus the server's :class:`~repro.service.batching.MicroBatcher` — is
+shard set 0: always running, the control arm of the worker sweep and
+the degraded fallback.  :class:`WorkerPool` lifts its one-core ceiling
+with N supervised matcher processes, each owning a slice of the
+gallery:
 
 * **Stable sharding.**  A record lives on worker
   ``shard_of(identity, n)`` — the BLAKE2b digest of the *identity*
@@ -17,32 +20,29 @@ matcher processes, each owning a deterministic slice of the gallery:
   template payloads at spawn, ever.  Post-startup enrollments and
   deletions travel as a small **delta log**: applied live over the RPC
   pipe, and replayed (shard-filtered) into any respawned worker.
-* **Scatter/gather search.**  ``/identify`` fans out to every worker —
-  each ranks (exact) or prefilters (two-stage) its shard locally — and
-  the parent reduces with the same ``(-score, key)`` /
-  ``(distance, key)`` comparators the in-process path uses, so sharded
-  results are bit-identical to single-process results, tie-breaks
-  included.  Batched ``/verify`` routes each pair job to the owning
-  worker's private :class:`~repro.service.batching.MicroBatcher` queue.
+* **Scatter/gather search.**  ``rank`` and ``prefilter`` fan out to
+  every worker and the parent reduces with the
+  :mod:`repro.service.search` functions the in-process set uses, so
+  sharded results are bit-identical, tie-breaks included.
+  ``score_keyed`` routes each pair job to the owning worker's private
+  micro-batch queue.
 * **Supervision.**  A worker that crashes or stalls past the RPC
   timeout is terminated and respawned (base snapshot + replayed
   deltas), and the interrupted message is simply re-sent — requeue by
   construction.  A :class:`~repro.runtime.supervisor.RestartBudget`
   bounds the tolerance: exhaustion degrades the pool, and the server
-  falls back to the in-process path (the bit-identical control arm
-  that ``REPRO_SERVE_WORKERS=0/1`` selects permanently).
+  re-runs the call against :class:`LocalShards`.
 * **Chaos hooks.**  Worker-side ops run through
   :func:`repro.runtime.faults.perturb` under keys
   ``serve-w{id}-{op}-{seq:04d}``, so a ``REPRO_FAULTS`` plan can crash
-  or stall one worker mid-``/identify`` and a test can assert the
-  answer never changes.
+  or stall one worker mid-request and a test can assert the answer
+  never changes.
 """
 
 from __future__ import annotations
 
 import asyncio
 import hashlib
-import os
 import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -66,9 +66,15 @@ from ..runtime.shm import (
     SharedGalleryView,
 )
 from ..runtime.supervisor import RestartBudget
-from ..runtime.telemetry import get_logger
+from ..runtime.telemetry import get_logger, trace_phase
 from .batching import BatchingConfig, MicroBatcher
 from .gallery import UnknownIdentityError
+from .search import (
+    candidate_key,
+    prefilter_by_device,
+    rank_top,
+    split_candidate_key,
+)
 from .stats import ServiceStats
 
 _log = get_logger("service.workers")
@@ -152,10 +158,9 @@ class _WorkerShard:
 
     The base snapshot comes from the shared block (templates rebuilt
     lazily, descriptors zero-copy); deltas layer enrollments and
-    deletions on top.  Key conventions mirror
-    :meth:`~repro.service.gallery.GalleryIndex.candidates`: bare
-    identities within one device scope, ``device/identity`` across
-    devices.
+    deletions on top.  Keys come from
+    :func:`~repro.service.search.candidate_key`, as in the parent's
+    gallery.
     """
 
     def __init__(
@@ -211,40 +216,19 @@ class _WorkerShard:
         return self._view.template(device, identity)
 
     def scope(self, device: Optional[str]) -> List[Tuple[str, str, str]]:
-        """Sorted ``(key, device, identity)`` of owned records in scope."""
-        if device is not None:
-            return sorted(
-                (identity, dev, identity)
-                for dev, identity in self._owned
-                if dev == device
-            )
-        return sorted(
-            (f"{dev}/{identity}", dev, identity)
+        """``(key, device, identity)`` of the owned records in scope."""
+        return [
+            (candidate_key(dev, identity, device), dev, identity)
             for dev, identity in self._owned
-        )
+            if device is None or dev == device
+        ]
 
     def prefilter(
         self, vector: np.ndarray, device: Optional[str], k: int
     ) -> Tuple[int, List[Tuple[str, float, int]]]:
         """Local coarse top-K over the shard, exactly as the parent would."""
-        if device is not None:
-            scope_size = sum(1 for dev, _ in self._owned if dev == device)
-            index = self._indexes.get(device)
-            local = index.top_k(vector, k) if index is not None else []
-            return scope_size, [(c.key, c.distance, c.rank) for c in local]
-        shards = []
-        for dev in sorted(self._indexes):
-            local = self._indexes[dev].top_k(vector, k)
-            shards.append([
-                PrefilterCandidate(
-                    key=f"{dev}/{c.key}", distance=c.distance, rank=c.rank
-                )
-                for c in local
-            ])
-        merged = merge_shard_candidates(shards, k)
-        return len(self._owned), [
-            (c.key, c.distance, c.rank) for c in merged
-        ]
+        scope_size, local = prefilter_by_device(self._indexes, vector, device, k)
+        return scope_size, [(c.key, c.distance, c.rank) for c in local]
 
 
 def _worker_main(
@@ -324,14 +308,10 @@ def _worker_main(
                     if galleries
                     else []
                 )
-                ranked = sorted(
-                    zip((key for key, _, _ in scope), scores),
-                    key=lambda item: (-item[1], item[0]),
-                )[: max(0, limit)]
-                reply = (
-                    "ok",
-                    (len(scope), [(key, float(s)) for key, s in ranked]),
+                ranked = rank_top(
+                    zip((key for key, _, _ in scope), scores), limit
                 )
+                reply = ("ok", (len(scope), ranked))
             elif op == "prefilter":
                 _, vector, device, k = msg
                 _perturb("prefilter")
@@ -410,9 +390,9 @@ class WorkerPool:
     All public entry points are coroutines awaited from the serving
     event loop; the blocking pipe RPCs run on a private thread pool.
 
-    Raises :class:`WorkerPoolDegradedError` from any dispatch once the
-    respawn budget is exhausted — the server's cue to fall back to its
-    in-process path.
+    Raises :class:`WorkerPoolDegradedError` from any entry point once
+    the respawn budget is exhausted — the server's cue to re-run the
+    call against :class:`LocalShards`.
     """
 
     def __init__(
@@ -683,15 +663,8 @@ class WorkerPool:
         self._stats.set_worker_alive(self.alive_count)
 
     # ------------------------------------------------------------------
-    # Serving entry points
+    # Serving entry points (the shard-set contract, see LocalShards)
     # ------------------------------------------------------------------
-    def _resolve(self, device: Optional[str], key: str) -> Tuple[str, str]:
-        """(device, identity) of one candidate key, parent-side."""
-        if device is not None:
-            return device, key
-        dev, _, identity = key.partition("/")
-        return dev, identity
-
     async def score_keyed(
         self,
         probe,
@@ -701,76 +674,73 @@ class WorkerPool:
     ) -> np.ndarray:
         """Scores of ``probe`` against candidate ``keys``, in input order.
 
-        Each pair job rides the owning worker's micro-batch queue, so
+        Keys are checked against the parent's gallery first, so an
+        unknown one raises :class:`UnknownIdentityError` before any job
+        can fail a micro-batch it shares with other requests.  Each pair
+        job then rides the owning worker's micro-batch queue, so
         concurrent requests coalesce per worker exactly as the
-        in-process path coalesces globally.
+        in-process set coalesces globally.
         """
-        if not keys:
-            return np.empty(0, dtype=np.float64)
         per_worker: Dict[int, List[Tuple[int, Tuple[str, str]]]] = {}
         for position, key in enumerate(keys):
-            dev, identity = self._resolve(device, key)
+            dev, identity = split_candidate_key(key, device)
+            if (dev, identity) not in self._gallery:
+                raise UnknownIdentityError(identity, dev)
             worker_id = shard_of(identity, self._config.workers)
             per_worker.setdefault(worker_id, []).append(
                 (position, (dev, identity))
             )
         ordered = sorted(per_worker)
-        results = await asyncio.gather(*[
-            self._batchers[worker_id].score(
-                [(probe, ref) for _, ref in per_worker[worker_id]],
-                timeout_s=timeout_s,
-            )
-            for worker_id in ordered
-        ])
+        with trace_phase("worker_dispatch"):
+            results = await asyncio.gather(*[
+                self._batchers[worker_id].score(
+                    [(probe, ref) for _, ref in per_worker[worker_id]],
+                    timeout_s=timeout_s,
+                )
+                for worker_id in ordered
+            ])
         scores = np.empty(len(keys), dtype=np.float64)
         for worker_id, worker_scores in zip(ordered, results):
             for (position, _), score in zip(per_worker[worker_id], worker_scores):
                 scores[position] = score
         return scores
 
+    async def _fan_out(self, msg: tuple) -> list:
+        """Send ``msg`` to every worker concurrently; replies in worker order."""
+        loop = asyncio.get_running_loop()
+        return await asyncio.gather(*[
+            loop.run_in_executor(self._fanout, self._dispatch, worker_id, msg)
+            for worker_id in range(self._config.workers)
+        ])
+
     async def rank(
-        self, probe, device: Optional[str], limit: int
+        self,
+        probe,
+        device: Optional[str],
+        limit: int,
+        timeout_s: Optional[float] = None,
     ) -> Tuple[int, List[Tuple[str, float]]]:
         """Exact 1:N: every worker ranks its shard, the parent merges.
 
-        Returns ``(gallery_size, ranked)`` where ``ranked`` is the
-        global top-``limit`` as ``(key, score)``, ordered by
-        ``(-score, key)`` — the in-process comparator, so tie-breaks
-        are bit-identical.  Exactness of local truncation: any global
-        top-``limit`` candidate is in its own shard's top-``limit``
-        under the same total order.
+        Returns ``(gallery_size, ranked)``, the global top-``limit``
+        under :func:`~repro.service.search.rank_top`'s total order, so
+        tie-breaks match the in-process set bit for bit (a global
+        top-``limit`` candidate is always in its own shard's
+        top-``limit``).  Worker RPCs are bounded by ``rpc_timeout_s``,
+        not the request's ``timeout_s``.
         """
-        loop = asyncio.get_running_loop()
-        replies = await asyncio.gather(*[
-            loop.run_in_executor(
-                self._fanout,
-                self._dispatch,
-                worker_id,
-                ("rank", probe, device, limit),
-            )
-            for worker_id in range(self._config.workers)
-        ])
+        with trace_phase("worker_dispatch"):
+            replies = await self._fan_out(("rank", probe, device, limit))
         gallery_size = sum(scope for scope, _ in replies)
-        pooled = [pair for _, ranked in replies for pair in ranked]
-        merged = sorted(pooled, key=lambda item: (-item[1], item[0]))[
-            : max(0, limit)
-        ]
-        return gallery_size, merged
+        return gallery_size, rank_top(
+            (pair for _, ranked in replies for pair in ranked), limit
+        )
 
     async def prefilter(
         self, vector: np.ndarray, device: Optional[str], k: int
     ) -> Tuple[int, List[PrefilterCandidate]]:
         """Two-stage coarse top-K across all shards, exactly merged."""
-        loop = asyncio.get_running_loop()
-        replies = await asyncio.gather(*[
-            loop.run_in_executor(
-                self._fanout,
-                self._dispatch,
-                worker_id,
-                ("prefilter", vector, device, k),
-            )
-            for worker_id in range(self._config.workers)
-        ])
+        replies = await self._fan_out(("prefilter", vector, device, k))
         gallery_size = sum(scope for scope, _ in replies)
         shards = [
             [
@@ -780,6 +750,23 @@ class WorkerPool:
             for _, ranked in replies
         ]
         return gallery_size, merge_shard_candidates(shards, k)
+
+    async def _apply(self, delta: tuple) -> None:
+        """Log one ``(op, device, identity, ..., lsn)`` write in the delta
+        log, then deliver it (minus the lsn) to its owner."""
+        _, device, identity = delta[:3]
+        worker_id = shard_of(identity, self._config.workers)
+        with self._lock:
+            if self._degraded:
+                raise WorkerPoolDegradedError("worker pool is degraded")
+            # Logged before the RPC: a worker that crashes mid-apply is
+            # respawned *with* this delta, so the retry cannot lose it.
+            self._deltas[(device, identity)] = delta
+        loop = asyncio.get_running_loop()
+        owned = await loop.run_in_executor(
+            self._fanout, self._rpc, worker_id, delta[:-1]
+        )
+        self._stats.set_worker_shard(worker_id, int(owned))
 
     async def apply_enroll(
         self, device: str, identity: str, template, descriptor,
@@ -791,49 +778,79 @@ class WorkerPool:
         (0 when no log is involved); it tags the delta for
         observability and keeps the pool's log aligned with the WAL.
         """
-        worker_id = shard_of(identity, self._config.workers)
-        with self._lock:
-            if self._degraded:
-                return
-            # Logged before the RPC: a worker that crashes mid-apply is
-            # respawned *with* this delta, so the retry cannot lose it.
-            self._deltas[(device, identity)] = (
-                "enroll", device, identity, template, descriptor, int(lsn)
-            )
-        loop = asyncio.get_running_loop()
-        try:
-            owned = await loop.run_in_executor(
-                self._fanout,
-                self._rpc,
-                worker_id,
-                ("enroll", device, identity, template, descriptor),
-            )
-        except WorkerPoolDegradedError:
-            return
-        self._stats.set_worker_shard(worker_id, int(owned))
+        await self._apply(
+            ("enroll", device, identity, template, descriptor, int(lsn))
+        )
 
     async def apply_delete(
         self, device: str, identity: str, lsn: int = 0
     ) -> None:
         """Propagate one deletion to its owner (and the delta log)."""
-        worker_id = shard_of(identity, self._config.workers)
-        with self._lock:
-            if self._degraded:
-                return
-            self._deltas[(device, identity)] = (
-                "delete", device, identity, int(lsn)
-            )
-        loop = asyncio.get_running_loop()
-        try:
-            owned = await loop.run_in_executor(
-                self._fanout, self._rpc, worker_id, ("delete", device, identity)
-            )
-        except WorkerPoolDegradedError:
-            return
-        self._stats.set_worker_shard(worker_id, int(owned))
+        await self._apply(("delete", device, identity, int(lsn)))
+
+
+class LocalShards:
+    """The in-process shard set: the gallery plus the server's batcher.
+
+    Shard set 0 of the serving layer.  It answers the same contract as
+    :class:`WorkerPool` — ``prefilter``, ``score_keyed``, ``rank`` and
+    the ``apply_*`` write fan-out — so the server runs one search
+    routine against whichever set is live, and re-runs it here when the
+    pool degrades.  Writes land in the gallery before fan-out, so the
+    ``apply_*`` methods have nothing left to do.
+    """
+
+    def __init__(self, gallery, batcher: MicroBatcher) -> None:
+        self._gallery = gallery
+        self._batcher = batcher
+
+    async def score_keyed(
+        self,
+        probe,
+        device: Optional[str],
+        keys: Sequence[str],
+        timeout_s: Optional[float] = None,
+    ) -> np.ndarray:
+        """Scores of ``probe`` against candidate ``keys``, in input order."""
+        with trace_phase("gallery"):
+            pairs = []
+            for key in keys:
+                dev, identity = split_candidate_key(key, device)
+                pairs.append((probe, self._gallery.get(identity, dev).template))
+        return await self._batcher.score(pairs, timeout_s=timeout_s)
+
+    async def rank(
+        self,
+        probe,
+        device: Optional[str],
+        limit: int,
+        timeout_s: Optional[float] = None,
+    ) -> Tuple[int, List[Tuple[str, float]]]:
+        """Exact 1:N over the whole scope: ``(gallery_size, top-limit)``."""
+        with trace_phase("gallery"):
+            candidates = self._gallery.candidates(device=device)
+        scores = await self._batcher.score(
+            [(probe, template) for template in candidates.values()],
+            timeout_s=timeout_s,
+        )
+        return len(candidates), rank_top(zip(candidates, scores), limit)
+
+    async def prefilter(
+        self, vector: np.ndarray, device: Optional[str], k: int
+    ) -> Tuple[int, List[PrefilterCandidate]]:
+        """Coarse top-K over the gallery's descriptor indexes."""
+        return self._gallery.prefilter_vector(vector, device, k)
+
+    async def apply_enroll(self, device, identity, template, descriptor,
+                           lsn: int = 0) -> None:
+        """No-op: the gallery already holds the enrollment."""
+
+    async def apply_delete(self, device, identity, lsn: int = 0) -> None:
+        """No-op: the gallery already dropped the enrollment."""
 
 
 __all__ = [
+    "LocalShards",
     "WorkerPool",
     "WorkerPoolConfig",
     "WorkerBrokenError",

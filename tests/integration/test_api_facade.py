@@ -1,4 +1,4 @@
-"""The ``repro.api`` facade: entry points, re-exports, deprecation shims."""
+"""The ``repro.api`` facade: entry points, re-exports, the top-level surface."""
 
 import warnings
 
@@ -108,8 +108,8 @@ class TestImportSurface:
         missing = [name for name in api.__all__ if not hasattr(api, name)]
         assert missing == []
 
-    def test_legacy_top_level_import_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
+    def test_legacy_top_level_import_raises(self):
+        with pytest.raises(AttributeError):
             getattr(repro, "InteroperabilityStudy")
 
     def test_facade_names_do_not_warn(self):
@@ -119,7 +119,8 @@ class TestImportSurface:
             assert repro.StudyResult is api.StudyResult
 
     def test_legacy_names_resolve_to_api_objects(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for name in ("InteroperabilityStudy", "StudyConfig", "ScoreSet"):
-                assert getattr(repro, name) is getattr(api, name)
+        # The retired top-level names live on repro.api only.
+        for name in ("InteroperabilityStudy", "StudyConfig", "ScoreSet"):
+            assert getattr(api, name) is not None
+            with pytest.raises(AttributeError):
+                getattr(repro, name)

@@ -7,7 +7,7 @@ silent partial results, errors that carry the failing key.
 import numpy as np
 import pytest
 
-from repro import InteroperabilityStudy, StudyConfig
+from repro.api import InteroperabilityStudy, StudyConfig
 from repro.core.scores import run_jobs
 from repro.runtime.errors import AcquisitionError, ConfigurationError
 from repro.sensors.protocol import Collection

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import InteroperabilityStudy, StudyConfig
+from repro.api import InteroperabilityStudy, StudyConfig
 from repro.datasets import build_collection
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 import repro
+from repro import api
 
 
 class TestTopLevelImports:
@@ -15,7 +16,7 @@ class TestTopLevelImports:
 
     def test_quickstart_snippet(self):
         """The README / module docstring snippet, executed verbatim."""
-        from repro import InteroperabilityStudy, StudyConfig
+        from repro.api import InteroperabilityStudy, StudyConfig
 
         study = InteroperabilityStudy(StudyConfig(n_subjects=4))
         score_sets = study.score_sets()
@@ -28,21 +29,21 @@ class TestTopLevelImports:
 
 class TestSubpackageFacades:
     def test_matcher_facade(self, genuine_template_pair):
-        matcher = repro.BioEngineMatcher()
+        matcher = api.BioEngineMatcher()
         score = matcher.match(*genuine_template_pair)
         assert score > 0
 
     def test_sensor_facade(self, tiny_population):
-        sensor = repro.build_sensor("D2")
+        sensor = api.build_sensor("D2")
         impression = sensor.acquire(
             tiny_population.subject(0), "right_index", np.random.default_rng(0)
         )
         assert impression.device_id == "D2"
 
     def test_device_constants(self):
-        assert repro.DEVICE_ORDER == ("D0", "D1", "D2", "D3", "D4")
-        assert len(repro.DEVICE_PROFILES) == 5
-        assert len(repro.LIVESCAN_DEVICES) == 4
+        assert api.DEVICE_ORDER == ("D0", "D1", "D2", "D3", "D4")
+        assert len(api.DEVICE_PROFILES) == 5
+        assert len(api.LIVESCAN_DEVICES) == 4
 
     def test_incits_via_io(self, genuine_template_pair):
         from repro.io import decode, encode

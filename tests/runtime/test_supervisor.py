@@ -1,5 +1,7 @@
 """Supervised pool execution: retry policy, self-healing, ordering."""
 
+import time
+
 import pytest
 
 from repro.runtime.errors import (
@@ -27,6 +29,13 @@ def recorder():
 
 # Module-level so pool workers can unpickle them.
 def _sum_batch(batch):
+    return sum(batch)
+
+
+def _slow_sum_batch(batch):
+    # Long enough for the pool to notice a crashed sibling before this
+    # worker can take another batch, so each crash gets its own pool.
+    time.sleep(0.1)
     return sum(batch)
 
 
@@ -212,7 +221,7 @@ class TestPooled:
             backoff_base=0.001, poll_interval=0.05, shrink_after=1
         )
         supervisor = BatchSupervisor(
-            _sum_batch, self.BATCHES, n_workers=2, policy=policy
+            _slow_sum_batch, self.BATCHES, n_workers=2, policy=policy
         )
         results = supervisor.run()
         assert results == self.EXPECTED

@@ -285,13 +285,13 @@ class TestFollowerReplica:
             with ServiceRunner(_follower_pair(root, matcher)) as (fh, fp):
                 with ServiceClient(fh, fp) as probe_client:
                     probe_client.wait_until_healthy()
-                with ServiceClient(ph, pp, follower=(fh, fp)) as combined:
+                with ServiceClient(ph, pp, followers=[(fh, fp)]) as combined:
                     probe = tiny_collection.get(0, FINGER, "D0", 1).template
                     reply = combined.verify("subject-0", probe, device="D0")
                     assert reply["decision"] == "accept"
                     # The replica really answered: its request id is ours.
                     assert combined.last_request_id == (
-                        combined.follower.last_request_id
+                        combined.followers[0].last_request_id
                     )
 
     def test_client_falls_back_when_replica_dies(
@@ -300,7 +300,7 @@ class TestFollowerReplica:
         root = tmp_path / "gallery"
         with ServiceRunner(_server(GalleryIndex(root), matcher)) as (ph, pp):
             # Point the follower slot at a port nobody listens on.
-            with ServiceClient(ph, pp, follower=("127.0.0.1", 1)) as client:
+            with ServiceClient(ph, pp, followers=[("127.0.0.1", 1)]) as client:
                 client.enroll(
                     "subject-0",
                     tiny_collection.get(0, FINGER, "D0", 0).template,

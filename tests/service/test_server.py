@@ -139,7 +139,7 @@ class TestStatusCodes:
         with pytest.raises(ServiceClientError) as excinfo:
             live._request(
                 "POST",
-                "/verify",
+                "/v1/verify",
                 {"identity": "subject-0", "device": "D0", "template": "!!!"},
             )
         assert excinfo.value.status == 400
@@ -149,7 +149,7 @@ class TestStatusCodes:
         with pytest.raises(ServiceClientError) as excinfo:
             live._request(
                 "POST",
-                "/verify",
+                "/v1/verify",
                 {"identity": "subject-0", "device": "D0", "template": garbage},
             )
         assert excinfo.value.status == 400
@@ -157,7 +157,7 @@ class TestStatusCodes:
     def test_missing_identity_400(self, live, tiny_collection):
         template = tiny_collection.get(0, FINGER, "D0", 1).template
         with pytest.raises(ServiceClientError) as excinfo:
-            live._request("POST", "/verify", {"template": encode_template(template)})
+            live._request("POST", "/v1/verify", {"template": encode_template(template)})
         assert excinfo.value.status == 400
 
     def test_bad_threshold_type_400(self, live, tiny_collection):
@@ -165,7 +165,7 @@ class TestStatusCodes:
         with pytest.raises(ServiceClientError) as excinfo:
             live._request(
                 "POST",
-                "/verify",
+                "/v1/verify",
                 {
                     "identity": "subject-0",
                     "device": "D0",
@@ -177,12 +177,12 @@ class TestStatusCodes:
 
     def test_wrong_method_405(self, live):
         with pytest.raises(ServiceClientError) as excinfo:
-            live._request("GET", "/verify")
+            live._request("GET", "/v1/verify")
         assert excinfo.value.status == 405
 
     def test_unknown_route_404(self, live):
         with pytest.raises(ServiceClientError) as excinfo:
-            live._request("GET", "/nope")
+            live._request("GET", "/v1/nope")
         assert excinfo.value.status == 404
 
     def test_port_in_use_raises_startup_error(self, tmp_path, matcher):
@@ -267,7 +267,7 @@ class TestMetricsEndpoint:
 
     def test_metrics_is_get_only(self, live):
         with pytest.raises(ServiceClientError) as excinfo:
-            live._request("POST", "/metrics")
+            live._request("POST", "/v1/metrics")
         assert excinfo.value.status == 405
 
 
@@ -351,43 +351,42 @@ class TestConcurrency:
 
 
 class TestVersionedApi:
-    """Satellite (a): the /v1 surface, deprecation headers, envelopes."""
+    """Only the /v1 surface routes; unversioned paths are 404s."""
+
+    @staticmethod
+    def _assert_not_found(live, method, path, payload=None):
+        with pytest.raises(ServiceClientError) as excinfo:
+            live._request(method, path, payload)
+        assert excinfo.value.status == 404
+        assert excinfo.value.code == "not_found"
+        assert excinfo.value.request_id
+        assert "deprecation" not in live.last_headers
 
     def test_client_targets_v1_by_default(self, live):
-        assert live.api_base == "/v1"
+        assert live._path("/healthz") == "/v1/healthz"
         assert live.healthz()["status"] == "ok"
         assert "deprecation" not in live.last_headers
 
-    def test_legacy_paths_answer_with_deprecation_header(self, live):
-        legacy = ServiceClient(live._host, live._port, api_base="")
-        with legacy:
-            assert legacy.healthz()["status"] == "ok"
-            assert legacy.last_headers.get("deprecation") == "true"
-            legacy.stats()
-            assert legacy.last_headers.get("deprecation") == "true"
+    def test_legacy_paths_return_404(self, live):
+        self._assert_not_found(live, "GET", "/healthz")
+        self._assert_not_found(live, "GET", "/stats")
 
-    def test_v1_and_legacy_hit_the_same_router(self, live, tiny_collection):
+    def test_legacy_verify_404s_while_v1_answers(self, live, tiny_collection):
         template = tiny_collection.get(0, FINGER, "D0", 1).template
         v1 = live.verify("subject-0", template, device="D0")
-        legacy = ServiceClient(live._host, live._port, api_base="")
-        with legacy:
-            old = legacy.verify("subject-0", template, device="D0")
-        assert v1["score"] == old["score"]
-        assert v1["decision"] == old["decision"]
+        assert v1["decision"] == "accept"
+        self._assert_not_found(live, "POST", "/verify", {
+            "identity": "subject-0",
+            "device": "D0",
+            "template": encode_template(template),
+        })
 
     def test_unknown_route_is_not_marked_deprecated(self, live):
-        with pytest.raises(ServiceClientError):
-            live._request("GET", "/nope")
-        assert "deprecation" not in live.last_headers
+        self._assert_not_found(live, "GET", "/nope")
 
     def test_bare_v1_404s_without_deprecation(self, live):
-        # "/v1" normalizes to "/", which is not a route — but it is
-        # versioned, so the error must not claim deprecation.
-        with pytest.raises(ServiceClientError) as excinfo:
-            live._request("GET", "/v1")
-        assert excinfo.value.status == 404
-        assert excinfo.value.code == "not_found"
-        assert "deprecation" not in live.last_headers
+        # "/v1" alone names no endpoint.
+        self._assert_not_found(live, "GET", "/v1")
 
 
 class TestErrorEnvelope:
@@ -471,12 +470,10 @@ class TestErrorEnvelope:
         assert excinfo.value.retryable
 
     def test_legacy_errors_carry_the_same_envelope(self, live):
-        legacy = ServiceClient(live._host, live._port, api_base="")
-        with legacy:
-            with pytest.raises(ServiceClientError) as excinfo:
-                legacy._request("GET", "/verify")
-        self._assert_envelope(excinfo.value, 405, "method_not_allowed")
-        assert legacy.last_headers.get("deprecation") == "true"
+        with pytest.raises(ServiceClientError) as excinfo:
+            live._request("GET", "/verify")
+        self._assert_envelope(excinfo.value, 404, "not_found")
+        assert "deprecation" not in live.last_headers
 
 
 class TestTwoStageIdentify:
@@ -515,6 +512,22 @@ class TestTwoStageIdentify:
         for candidate in reply["candidates"]:
             assert candidate["stage"] == "rescored"
             assert 1 <= candidate["prefilter_rank"] <= 2
+
+    def test_cross_device_best_matches_top_candidate(
+        self, live, tiny_collection
+    ):
+        live.enroll(
+            "subject-1",
+            tiny_collection.get(1, FINGER, "D1", 0).template,
+            device="D1",
+        )
+        probe = tiny_collection.get(1, FINGER, "D0", 1).template
+        for mode in ("exact", "two_stage"):
+            reply = live.identify(probe, device=None, mode=mode, candidate_k=4)
+            top = reply["candidates"][0]
+            assert reply["best"]["identity"] == top["identity"] == "subject-1"
+            assert reply["best"]["device"] == top["device"]
+            assert reply["best"]["score"] == top["score"]
 
     def test_two_stage_agrees_with_exact_top1(self, live, tiny_collection):
         for sid in SUBJECTS:

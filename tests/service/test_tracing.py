@@ -72,7 +72,7 @@ class TestRequestIdEcho:
     def test_echoed_on_error_responses_too(self, observed):
         client, _ = observed
         with pytest.raises(ServiceClientError) as excinfo:
-            client._request("GET", "/nope")
+            client._request("GET", "/v1/nope")
         assert excinfo.value.status == 404
         assert client.last_headers.get("x-request-id")
 
@@ -80,7 +80,7 @@ class TestRequestIdEcho:
         client, _ = observed
         connection = client._connect()
         connection.request(
-            "GET", "/healthz", headers={"X-Request-ID": "bad value!{}"}
+            "GET", "/v1/healthz", headers={"X-Request-ID": "bad value!{}"}
         )
         response = connection.getresponse()
         response.read()

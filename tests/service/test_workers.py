@@ -298,24 +298,44 @@ class TestChaos:
             control, sort_keys=True
         )
 
+    @pytest.mark.parametrize("op", ["rank", "prefilter", "score"])
     def test_repeated_breakage_degrades_to_in_process(
-        self, gallery_root, tiny_collection, matcher, monkeypatch, tmp_path
+        self, op, gallery_root, tiny_collection, matcher, monkeypatch,
+        tmp_path,
     ):
-        # Every ranked search on worker 0 crashes and the respawn budget
-        # is one: the pool must give up, not flap — and the server keeps
-        # answering through the in-process fallback.
-        self._chaos_env(monkeypatch, tmp_path, "crash@serve-w0-rank:9")
+        # Every ``op`` RPC on worker 0 crashes and the respawn budget is
+        # one: the pool must give up, not flap — and each entry point
+        # (exact identify, two-stage identify, verify) keeps answering
+        # through the one in-process swap, identical to the control.
+        owned = next(
+            sid for sid in D0_SUBJECTS if shard_of(f"subject-{sid}", 2) == 0
+        )
+        probe = tiny_collection.get(owned, FINGER, "D0", 1).template
+
+        def ask(client):
+            if op == "rank":
+                return client.identify(probe, device="D0", mode="exact")
+            if op == "prefilter":
+                return client.identify(
+                    probe, device="D0", mode="two_stage", candidate_k=4
+                )
+            return client.verify(f"subject-{owned}", probe, device="D0")
+
+        with ServiceRunner(
+            _server(GalleryIndex(gallery_root), matcher)
+        ) as (host, port):
+            with ServiceClient(host, port) as client:
+                control = _normalize(ask(client))
+
+        self._chaos_env(monkeypatch, tmp_path, f"crash@serve-w0-{op}:9")
         monkeypatch.setenv("REPRO_SERVE_WORKER_RESPAWNS", "1")
         server = _server(GalleryIndex(gallery_root), matcher, workers=2)
-        probe = tiny_collection.get(1, FINGER, "D0", 1).template
         with ServiceRunner(server) as (host, port):
             with ServiceClient(host, port) as client:
-                reply = client.identify(probe, device="D0", mode="exact")
-                assert reply["best"]["identity"] == "subject-1"
+                assert _normalize(ask(client)) == control
                 health = client.healthz()
                 assert health["workers"]["degraded"] is True
                 assert health["workers"]["alive"] == 0
-                # Still serving: the next request takes the fallback
-                # path directly.
-                again = client.identify(probe, device="D0", mode="exact")
-                assert again["best"]["identity"] == "subject-1"
+                # Still serving: the next request takes the in-process
+                # set directly.
+                assert _normalize(ask(client)) == control
